@@ -12,7 +12,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use crate::trace::{Query, QueryName, Trace, WINDOWS_PER_DAY};
+use crate::trace::{Query, QueryName, WINDOWS_PER_DAY};
 
 /// The output table of the traffic study.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -94,16 +94,6 @@ impl TrafficReport {
             *self.per_tld_resolvers.entry(tld).or_insert(0) += n;
         }
     }
-}
-
-/// Runs the classifier over a trace (single pass per model).
-pub fn classify(trace: &Trace) -> TrafficReport {
-    classify_queries(&trace.queries)
-}
-
-/// Runs the classifier over raw queries.
-pub fn classify_queries(queries: &[Query]) -> TrafficReport {
-    classify_stream(queries.iter().copied())
 }
 
 /// Incremental form of the classifier: feed queries one at a time with
@@ -239,10 +229,14 @@ pub fn format_report(report: &TrafficReport, scale_note: &str) -> String {
 mod tests {
     use super::*;
     use crate::population::WorkloadConfig;
-    use crate::trace::{generate, Query, QueryName};
+    use crate::trace::{Query, QueryName, TraceStream};
 
     fn q(time: u32, resolver: u32, name: QueryName) -> Query {
         Query { time, resolver, name }
+    }
+
+    fn classify_queries(queries: &[Query]) -> TrafficReport {
+        classify_stream(queries.iter().copied())
     }
 
     #[test]
@@ -322,8 +316,7 @@ mod tests {
             resolvers: 1_000,
             ..WorkloadConfig::default()
         };
-        let trace = generate(&cfg);
-        let r = classify(&trace);
+        let r = classify_stream(TraceStream::new(&cfg, 1));
         assert!((r.bogus_fraction() - 0.61).abs() < 0.03, "bogus {}", r.bogus_fraction());
         assert!(
             r.valid_ideal_fraction() < 0.015,
@@ -345,7 +338,6 @@ mod tests {
 
     #[test]
     fn sharded_classify_merges_to_the_unsharded_report() {
-        use crate::trace::TraceStream;
         let cfg = WorkloadConfig::tiny();
         let full = classify_stream(TraceStream::new(&cfg, 2));
         for shards in [1u64, 3, 4] {
@@ -368,7 +360,6 @@ mod tests {
 
     #[test]
     fn replication_scaling_preserves_every_fraction_exactly() {
-        use crate::trace::TraceStream;
         // The determinism net: counts scale by exactly k, and since both
         // numerator and denominator stay exactly representable, the f64
         // quotients — and so every rendered percentage — are bit-identical.
@@ -392,7 +383,7 @@ mod tests {
     #[test]
     fn report_formatting_contains_key_rows() {
         let cfg = WorkloadConfig::tiny();
-        let r = classify(&generate(&cfg));
+        let r = classify_stream(TraceStream::new(&cfg, 1));
         let text = format_report(&r, "(tiny)");
         assert!(text.contains("bogus-TLD queries"));
         assert!(text.contains("15-minute model"));

@@ -22,6 +22,6 @@ pub mod classify;
 pub mod population;
 pub mod trace;
 
-pub use classify::{classify, classify_stream, TrafficReport};
+pub use classify::{classify_stream, TrafficReport};
 pub use population::WorkloadConfig;
-pub use trace::{generate, Query, QueryName, Trace, TraceStream};
+pub use trace::{Query, QueryName, TraceStream};

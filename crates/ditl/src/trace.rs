@@ -29,9 +29,6 @@
 //!   resolver space into `n` contiguous ranges; shard outputs are disjoint
 //!   by construction and concatenating them in shard order reproduces the
 //!   unsharded stream byte for byte (gated by `tests/prop_stream.rs`).
-//!
-//! [`generate`] survives as a thin collect-and-sort wrapper over the
-//! single-unit stream for tests and benches that want the old [`Trace`].
 
 use rootless_util::rng::{substream_seed, DetRng};
 
@@ -69,16 +66,6 @@ impl Query {
     pub fn window(&self) -> u32 {
         self.time / WINDOW_SECS
     }
-}
-
-/// A generated one-day trace, sorted by time.
-pub struct Trace {
-    /// The queries.
-    pub queries: Vec<Query>,
-    /// Resolver classes used.
-    pub classes: Vec<ResolverClass>,
-    /// The config that produced it.
-    pub config: WorkloadConfig,
 }
 
 /// The per-resolver RNG: an independent splitmix64-derived substream, so a
@@ -487,60 +474,46 @@ impl Iterator for TraceStream {
     }
 }
 
-/// Generates the single-unit trace for `cfg` by collecting the stream and
-/// time-sorting it — the materialized form tests and benches compare the
-/// streaming path against. Production paths should iterate [`TraceStream`]
-/// instead; this allocates O(queries).
-pub fn generate(cfg: &WorkloadConfig) -> Trace {
-    let mut queries: Vec<Query> = TraceStream::new(cfg, 1).collect();
-    queries.sort_by_key(|q| q.time);
-    Trace { queries, classes: classify_resolvers(cfg), config: cfg.clone() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tiny_trace() -> Trace {
-        generate(&WorkloadConfig::tiny())
+    fn tiny_trace() -> (WorkloadConfig, Vec<Query>) {
+        let cfg = WorkloadConfig::tiny();
+        let queries = TraceStream::new(&cfg, 1).collect();
+        (cfg, queries)
     }
 
     #[test]
     fn trace_has_requested_volume() {
-        let t = tiny_trace();
-        let total = t.queries.len() as u64;
-        let want = t.config.total_queries;
+        let (cfg, queries) = tiny_trace();
+        let total = queries.len() as u64;
+        let want = cfg.total_queries;
         // Bogus-only minimum-one rule can add a few extras.
-        assert!(
-            total >= want && total < want + t.config.resolvers as u64,
-            "{total} vs {want}"
-        );
+        assert!(total >= want && total < want + cfg.resolvers as u64, "{total} vs {want}");
     }
 
     #[test]
-    fn trace_is_time_sorted() {
-        let t = tiny_trace();
-        assert!(t.queries.windows(2).all(|w| w[0].time <= w[1].time));
-        assert!(t.queries.iter().all(|q| q.time < DAY_SECS));
+    fn trace_stays_inside_the_day() {
+        let (_, queries) = tiny_trace();
+        assert!(queries.iter().all(|q| q.time < DAY_SECS));
     }
 
     #[test]
     fn bogus_fraction_near_target() {
-        let t = tiny_trace();
-        let bogus = t
-            .queries
-            .iter()
-            .filter(|q| matches!(q.name, QueryName::BogusTld(_)))
-            .count() as f64;
-        let frac = bogus / t.queries.len() as f64;
+        let (_, queries) = tiny_trace();
+        let bogus =
+            queries.iter().filter(|q| matches!(q.name, QueryName::BogusTld(_))).count() as f64;
+        let frac = bogus / queries.len() as f64;
         assert!((frac - 0.61).abs() < 0.05, "bogus fraction {frac}");
     }
 
     #[test]
     fn bogus_only_resolvers_send_only_bogus() {
-        let t = tiny_trace();
-        for q in &t.queries {
-            if t.classes[q.resolver as usize] == ResolverClass::BogusOnly {
+        let (cfg, queries) = tiny_trace();
+        let classes = classify_resolvers(&cfg);
+        for q in &queries {
+            if classes[q.resolver as usize] == ResolverClass::BogusOnly {
                 assert!(matches!(q.name, QueryName::BogusTld(_)));
             }
         }
@@ -548,15 +521,15 @@ mod tests {
 
     #[test]
     fn every_resolver_appears() {
-        let t = tiny_trace();
-        let seen: std::collections::HashSet<u32> = t.queries.iter().map(|q| q.resolver).collect();
+        let (cfg, queries) = tiny_trace();
+        let seen: std::collections::HashSet<u32> = queries.iter().map(|q| q.resolver).collect();
         // Bogus-only resolvers get ≥1 query; normal resolvers' weight floor
         // guarantees a valid share at any test scale.
         assert!(
-            seen.len() as f64 > t.config.resolvers as f64 * 0.95,
+            seen.len() as f64 > cfg.resolvers as f64 * 0.95,
             "only {} of {} resolvers appear",
             seen.len(),
-            t.config.resolvers
+            cfg.resolvers
         );
     }
 
@@ -572,41 +545,30 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = tiny_trace();
-        let b = tiny_trace();
-        assert_eq!(a.queries.len(), b.queries.len());
-        assert!(a
-            .queries
-            .iter()
-            .zip(&b.queries)
-            .all(|(x, y)| x.time == y.time && x.resolver == y.resolver && x.name == y.name));
+        assert_eq!(tiny_trace().1, tiny_trace().1);
     }
 
     #[test]
     fn valid_queries_prefer_popular_tlds() {
-        let t = tiny_trace();
-        let mut counts = vec![0u64; t.config.valid_tld_count];
-        for q in &t.queries {
+        let (cfg, queries) = tiny_trace();
+        let mut counts = vec![0u64; cfg.valid_tld_count];
+        for q in &queries {
             if let QueryName::ValidTld(i) = q.name {
                 counts[i as usize] += 1;
             }
         }
         let head: u64 = counts[..10].iter().sum();
-        let tail: u64 = counts[t.config.valid_tld_count - 10..].iter().sum();
+        let tail: u64 = counts[cfg.valid_tld_count - 10..].iter().sum();
         assert!(head > tail * 5, "head {head} tail {tail}");
     }
 
     #[test]
-    fn stream_is_resolver_major_and_matches_generate() {
-        let cfg = WorkloadConfig::tiny();
-        let streamed: Vec<Query> = TraceStream::new(&cfg, 1).collect();
+    fn stream_is_resolver_major() {
+        let (_, queries) = tiny_trace();
         assert!(
-            streamed.windows(2).all(|w| w[0].resolver <= w[1].resolver),
+            queries.windows(2).all(|w| w[0].resolver <= w[1].resolver),
             "stream must emit resolver-major"
         );
-        let mut sorted = streamed;
-        sorted.sort_by_key(|q| q.time);
-        assert_eq!(sorted, generate(&cfg).queries, "generate is collect + stable time sort");
     }
 
     #[test]

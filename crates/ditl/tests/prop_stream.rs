@@ -1,10 +1,9 @@
-//! Property tests for the streaming trace generator: the stream is the
-//! single source of truth, `generate` is its materialized view, and
-//! sharding is an exact partition — not approximately, but query-for-query
-//! at every sampled configuration.
+//! Property tests for the streaming trace generator: the stream meets its
+//! volume budget, and sharding is an exact partition — not approximately,
+//! but query-for-query at every sampled configuration.
 
 use proptest::prelude::*;
-use rootless_ditl::{generate, Query, TraceStream, WorkloadConfig};
+use rootless_ditl::{Query, TraceStream, WorkloadConfig};
 
 fn cfg_from(total_queries: u64, resolvers: u32, seed: u64, bogus_frac: f64) -> WorkloadConfig {
     WorkloadConfig {
@@ -18,31 +17,22 @@ fn cfg_from(total_queries: u64, resolvers: u32, seed: u64, bogus_frac: f64) -> W
     }
 }
 
-fn time_sorted(mut queries: Vec<Query>) -> Vec<Query> {
-    queries.sort_by_key(|q| q.time);
-    queries
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // `generate` must be exactly the stream, collected and stably
-    // time-sorted — same queries, same count, query-for-query.
+    // The stream emits at least its budget, and every query falls inside
+    // the trace day, at any bogus share.
     #[test]
-    fn materialized_trace_is_the_sorted_stream(
+    fn stream_meets_its_budget_inside_the_day(
         total in 10_000u64..60_000,
         resolvers in 40u32..300,
         seed in 0u64..u64::MAX,
         bogus in 0.45f64..0.75,
     ) {
         let cfg = cfg_from(total, resolvers, seed, bogus);
-        let streamed = time_sorted(TraceStream::new(&cfg, 1).collect());
-        let trace = generate(&cfg);
-        prop_assert_eq!(streamed.len(), trace.queries.len());
+        let streamed: Vec<Query> = TraceStream::new(&cfg, 1).collect();
         prop_assert!(streamed.len() as u64 >= TraceStream::expected_queries(&cfg, 1));
-        for (a, b) in streamed.iter().zip(trace.queries.iter()) {
-            prop_assert_eq!(a, b);
-        }
+        prop_assert!(streamed.iter().all(|q| q.time < rootless_ditl::trace::DAY_SECS));
     }
 
     // The union of any shard partition, concatenated in shard order, is a

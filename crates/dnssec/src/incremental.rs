@@ -40,8 +40,8 @@ use crate::sign::{self, DnssecError};
 use crate::zonemd::{self, SCHEME_SIMPLE};
 
 /// Work counters for one verification pass (full or incremental). The
-/// full-vs-incremental cost comparison in `BENCH_verify.json` and the
-/// `experiments verify` table come straight off these.
+/// `experiments verify` table and the benchmark's `dnssec.sigs_per_day`
+/// row come straight off these.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyStats {
     /// RRsets whose covering signature was verified.

@@ -6,7 +6,7 @@
 //! (later standardized as RFC 8976): a digest over the zone's canonical
 //! records placed in an apex ZONEMD record, which a single RRSIG then
 //! covers. Verification is one hash pass + one signature check, versus one
-//! check per RRset (benched in `resolve_modes`/`zone_ops`).
+//! check per RRset.
 
 use rootless_proto::name::Name;
 use rootless_proto::rr::{RData, RType, Record, Zonemd};

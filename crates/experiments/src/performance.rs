@@ -77,7 +77,7 @@ pub fn run(lookups: usize, tlds: usize, jobs: usize) -> PerfReport {
         let mut rng = DetRng::seed_from_u64(0x9e7f);
         let mut resolver = Resolver::new(ResolverConfig {
             // The paper's measured 37ms for the naive script; the indexed
-            // variant is benched separately.
+            // variant is measured by `experiments extract`.
             on_demand_cost: SimDuration::from_millis(37),
             ..ResolverConfig::with_mode(mode)
         });

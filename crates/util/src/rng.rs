@@ -12,7 +12,7 @@ const SPLITMIX_GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 /// The splitmix64 output (finalizer) function: a fixed bijective avalanche
 /// over one 64-bit word. This is the single definition of the mixer — the
 /// seed-derivation helpers below, [`DetRng::seed_from_u64`], and the
-/// scheduler benchmarks all route through it (the repo used to carry four
+/// benchmark's workloads all route through it (the repo used to carry four
 /// inlined copies that could drift independently).
 pub fn splitmix64_mix(z: u64) -> u64 {
     let mut z = z;
